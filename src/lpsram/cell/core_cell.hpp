@@ -49,6 +49,23 @@ struct CellVariation {
   bool is_symmetric() const noexcept;
 };
 
+// Structure-of-arrays variation fields of a run of cells — the layout the
+// yield sampler writes and the surrogate's block predictor reads: lane[l][i]
+// is transistor kAllCellTransistors[l] of cell i (sigma units).
+struct CellVariationLanes {
+  std::array<double*, 6> lane{};
+
+  // Lanes over caller storage of 6 * cells doubles, lane-major.
+  static CellVariationLanes over(double* storage, std::size_t cells) noexcept {
+    CellVariationLanes v;
+    for (std::size_t l = 0; l < v.lane.size(); ++l) v.lane[l] = storage + l * cells;
+    return v;
+  }
+  CellVariation cell(std::size_t i) const noexcept {
+    return {lane[0][i], lane[1][i], lane[2][i], lane[3][i], lane[4][i], lane[5][i]};
+  }
+};
+
 // Stored logic value.
 enum class StoredBit : int { Zero = 0, One = 1 };
 

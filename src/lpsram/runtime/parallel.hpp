@@ -46,8 +46,15 @@
 namespace lpsram {
 
 // splitmix64 finalizer — the runtime's standard mixing function (shared with
-// the chaos harness). Exposed so sweep drivers derive task keys uniformly.
-std::uint64_t mix64(std::uint64_t x) noexcept;
+// the chaos harness). Exposed so sweep drivers derive task keys uniformly;
+// inline because every fold_key (task keys, cache keys, fingerprints, the
+// yield sampler's counter draws) runs through it.
+inline std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 // Order-sensitive key fold: task_key(a, b, c) != task_key(b, a, c) etc.
 inline std::uint64_t fold_key(std::uint64_t h, std::uint64_t v) noexcept {

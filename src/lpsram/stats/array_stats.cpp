@@ -64,12 +64,19 @@ ArrayDrvDistribution simulate_array_drv(const DrvSurrogate& surrogate,
   std::vector<double> maxima;
   maxima.reserve(static_cast<std::size_t>(options.trials));
 
+  // Chunks through the block sampler and the block surrogate (bit-identical
+  // to sample_cell_variation + predict_drv per cell).
+  constexpr std::size_t kChunk = kSampleChunkCells;
+  std::vector<double> z_store(6 * kChunk), drv(kChunk);
+  const CellVariationLanes z = CellVariationLanes::over(z_store.data(), kChunk);
   for (int trial = 0; trial < options.trials; ++trial) {
     double worst_drv = 0.0;
-    for (std::size_t cell = 0; cell < options.cells; ++cell) {
-      const CellVariation v = sample_cell_variation(
-          options.seed, static_cast<std::uint64_t>(trial), cell);
-      worst_drv = std::max(worst_drv, surrogate.predict_drv(v));
+    for (std::size_t c0 = 0; c0 < options.cells; c0 += kChunk) {
+      const std::size_t n = std::min(kChunk, options.cells - c0);
+      sample_cell_variation_block(options.seed, static_cast<std::uint64_t>(trial),
+                                  c0, n, z);
+      surrogate.predict_drv_block(z, n, drv.data());
+      for (std::size_t i = 0; i < n; ++i) worst_drv = std::max(worst_drv, drv[i]);
     }
     maxima.push_back(worst_drv);
   }

@@ -7,12 +7,47 @@
 #include "lpsram/runtime/parallel.hpp"
 #include "lpsram/util/error.hpp"
 #include "lpsram/util/matrix.hpp"
+#include "lpsram/util/simd.hpp"
 
 namespace lpsram {
 namespace {
 
 std::array<double, 6> to_array(const CellVariation& v) {
   return {v.mpcc1, v.mncc1, v.mpcc2, v.mncc2, v.mncc3, v.mncc4};
+}
+
+// CellVariation::mirrored() as a lane permutation (kAllCellTransistors
+// order): lane l of the mirror is lane kMirrorLane[l] of the original.
+constexpr std::size_t kMirrorLane[6] = {2, 3, 0, 1, 5, 4};
+
+// The monotone piecewise-linear map over n >= 2 sorted knots, per lane.
+// The knot search is std::upper_bound without data-dependent branches: the
+// probe sequence depends on n alone and each step is a blend (invariant:
+// knots before `base` are <= score, knots from base + len on are > score).
+// Scores at or past either end knot take its DRV. Loads and blends are
+// exact, so every lane equals the one-lane instance map() runs.
+template <class V>
+V map_knots(const double* ks, const double* ds, std::size_t n, V score) noexcept {
+  const V one = V::broadcast(1.0);
+  V base = V::zero();
+  for (std::size_t len = n; len > 1;) {
+    const std::size_t half = len / 2;
+    const V probe = base + V::broadcast(static_cast<double>(half));
+    base = V::blend(V::cmp_gt(V::gather_at(ks, probe), score), base, probe);
+    len -= half;
+  }
+  V hi = V::blend(V::cmp_gt(V::gather_at(ks, base), score), base, base + one);
+  // Only end lanes leave [1, n - 1]; they are replaced below.
+  hi = V::min(V::max(hi, one), V::broadcast(static_cast<double>(n - 1)));
+  const V lo = hi - one;
+  const V k_lo = V::gather_at(ks, lo);
+  const V d_lo = V::gather_at(ds, lo);
+  const V span = V::gather_at(ks, hi) - k_lo;
+  const V f = V::blend(V::cmp_gt(span, V::zero()), (score - k_lo) / span, V::zero());
+  V drv = d_lo + f * (V::gather_at(ds, hi) - d_lo);
+  drv = V::blend(V::cmp_lt(score, V::broadcast(ks[n - 1])), drv,
+                 V::broadcast(ds[n - 1]));
+  return V::blend(V::cmp_gt(score, V::broadcast(ks[0])), drv, V::broadcast(ds[0]));
 }
 
 // Pool-adjacent-violators: least-squares monotone (non-decreasing) fit of
@@ -158,15 +193,9 @@ double DrvSurrogate::score(const CellVariation& variation) const noexcept {
 
 double DrvSurrogate::map(double score) const {
   if (knot_scores_.empty()) throw Error("DrvSurrogate: not trained");
-  if (score <= knot_scores_.front()) return knot_drvs_.front();
-  if (score >= knot_scores_.back()) return knot_drvs_.back();
-  const auto it =
-      std::upper_bound(knot_scores_.begin(), knot_scores_.end(), score);
-  const std::size_t hi = static_cast<std::size_t>(it - knot_scores_.begin());
-  const std::size_t lo = hi - 1;
-  const double span = knot_scores_[hi] - knot_scores_[lo];
-  const double f = span > 0.0 ? (score - knot_scores_[lo]) / span : 0.0;
-  return knot_drvs_[lo] + f * (knot_drvs_[hi] - knot_drvs_[lo]);
+  return map_knots(knot_scores_.data(), knot_drvs_.data(), knot_scores_.size(),
+                   simd::DoubleVec<1>::broadcast(score))
+      .extract(0);
 }
 
 double DrvSurrogate::predict_drv1(const CellVariation& variation) const {
@@ -179,6 +208,46 @@ double DrvSurrogate::predict_drv0(const CellVariation& variation) const {
 
 double DrvSurrogate::predict_drv(const CellVariation& variation) const {
   return std::max(predict_drv1(variation), predict_drv0(variation));
+}
+
+void DrvSurrogate::predict_drv_block(const CellVariationLanes& variation,
+                                     std::size_t count, double* drv) const {
+  if (knot_scores_.empty()) throw Error("DrvSurrogate: not trained");
+  using V = simd::Vec;
+  constexpr std::size_t kW = V::kWidth;
+  const auto predict = [&](const V (&z)[6]) {
+    // Scores in score()'s order — 0.0 + w0*v0, then + w1*v1, ..., each
+    // product rounded before its add — the mirror reading permuted lanes;
+    // then std::max(drv1, drv0) as a blend.
+    V u1 = V::zero(), u0 = V::zero();
+    for (std::size_t l = 0; l < 6; ++l) {
+      const V w = V::broadcast(weights_[l]);
+      u1 = u1 + w * z[l];
+      u0 = u0 + w * z[kMirrorLane[l]];
+    }
+    const double* ks = knot_scores_.data();
+    const double* ds = knot_drvs_.data();
+    const V d1 = map_knots(ks, ds, knot_scores_.size(), u1);
+    const V d0 = map_knots(ks, ds, knot_scores_.size(), u0);
+    return V::blend(V::cmp_lt(d1, d0), d0, d1);
+  };
+  std::size_t i = 0;
+  for (; i + kW <= count; i += kW) {
+    V z[6];
+    for (std::size_t l = 0; l < 6; ++l) z[l] = V::load(variation.lane[l] + i);
+    predict(z).store(drv + i);
+  }
+  if (i == count) return;
+  // Remainder: zero-padded lanes (lanes are independent).
+  V z[6];
+  for (std::size_t l = 0; l < 6; ++l) {
+    double pad[kW] = {};
+    for (std::size_t k = 0; i + k < count; ++k) pad[k] = variation.lane[l][i + k];
+    z[l] = V::load(pad);
+  }
+  double out[kW];
+  predict(z).store(out);
+  for (std::size_t k = 0; i + k < count; ++k) drv[i + k] = out[k];
 }
 
 }  // namespace lpsram

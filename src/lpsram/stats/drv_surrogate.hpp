@@ -47,6 +47,10 @@ class DrvSurrogate {
   double predict_drv1(const CellVariation& variation) const;
   double predict_drv0(const CellVariation& variation) const;
   double predict_drv(const CellVariation& variation) const;
+  // predict_drv over `count` cells of an SoA field: drv[i] equals
+  // predict_drv(variation.cell(i)) bit for bit.
+  void predict_drv_block(const CellVariationLanes& variation, std::size_t count,
+                         double* drv) const;
 
   // Fitted direction, in kAllCellTransistors order.
   const std::array<double, 6>& weights() const noexcept { return weights_; }
@@ -66,7 +70,9 @@ class DrvSurrogate {
 
  private:
   DrvSurrogate() = default;
-  double map(double score) const;  // monotone score -> DRV
+  // Monotone score -> DRV. The knot search has no data-dependent branches
+  // and lands on std::upper_bound's index.
+  double map(double score) const;
 
   DrvSurrogateOptions options_;
   std::array<double, 6> weights_{};

@@ -196,49 +196,56 @@ void YieldPlan::run_pilot_shift_search() {
 
   const std::uint64_t pilot_seed = fold_key(options_.seed, kPilotStreamTag);
   const double alpha = options_.is_defensive;
-  for (std::size_t j = 0; j < options_.pilot_samples; ++j) {
-    const double pick = counter_uniform(pilot_seed, 0, j, kComponentLane);
-    // Component selection mirrors the production sampler: nominal with
-    // probability alpha, else one of the two shifted halves.
-    int component = 0;  // 0 nominal, 1 shifted, 2 mirrored
-    if (pick >= alpha)
-      component = pick < alpha + 0.5 * (1.0 - alpha) ? 1 : 2;
-    std::array<double, 6> z{};
-    for (std::size_t lane = 0; lane < kAllCellTransistors.size(); ++lane)
-      z[lane] = counter_normal(pilot_seed, 0, j, lane);
+  constexpr std::size_t kChunk = kSampleChunkCells;
+  std::vector<double> z_store(6 * kChunk), v_store(6 * kChunk);
+  const CellVariationLanes z = CellVariationLanes::over(z_store.data(), kChunk);
+  const CellVariationLanes v = CellVariationLanes::over(v_store.data(), kChunk);
+  std::vector<double> sdrv(kChunk), weight(kChunk);
+  std::vector<int> component(kChunk);
+  // Chunked over samples, shifts inside: each (shift, grid point) sum still
+  // accumulates in sample order.
+  for (std::size_t j0 = 0; j0 < options_.pilot_samples; j0 += kChunk) {
+    const std::size_t n = std::min(kChunk, options_.pilot_samples - j0);
+    sample_cell_variation_block(pilot_seed, 0, j0, n, z);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double pick = counter_uniform(pilot_seed, 0, j0 + i, kComponentLane);
+      // Component selection mirrors the production sampler: nominal with
+      // probability alpha, else one of the two shifted halves.
+      component[i] = 0;  // 0 nominal, 1 shifted, 2 mirrored
+      if (pick >= alpha) component[i] = pick < alpha + 0.5 * (1.0 - alpha) ? 1 : 2;
+    }
 
     for (std::size_t t = 0; t < steps; ++t) {
       const double c = shifts[t];
-      CellVariation v;
-      for (std::size_t lane = 0; lane < kAllCellTransistors.size(); ++lane) {
-        const double mean =
-            component == 1 ? c * u.get(kAllCellTransistors[lane])
-            : component == 2 ? c * u_m.get(kAllCellTransistors[lane])
-                             : 0.0;
-        v.set(kAllCellTransistors[lane], z[lane] + mean);
+      for (std::size_t i = 0; i < n; ++i) {
+        double uv = 0.0, umv = 0.0;
+        for (std::size_t lane = 0; lane < kAllCellTransistors.size(); ++lane) {
+          const double mean =
+              component[i] == 1 ? c * u.get(kAllCellTransistors[lane])
+              : component[i] == 2 ? c * u_m.get(kAllCellTransistors[lane])
+                                  : 0.0;
+          const double vl = z.lane[lane][i] + mean;
+          v.lane[lane][i] = vl;
+          uv += u.get(kAllCellTransistors[lane]) * vl;
+          umv += u_m.get(kAllCellTransistors[lane]) * vl;
+        }
+        // Likelihood ratio of the same defensive mixture at shift c:
+        // a_i = c * (u_i . v) - c^2/2, w = 1/(alpha + (1-alpha) e^m s).
+        const double a1 = c * uv - 0.5 * c * c;
+        const double a2 = c * umv - 0.5 * c * c;
+        const double m = std::max(a1, a2);
+        const double s = 0.5 * (std::exp(a1 - m) + std::exp(a2 - m));
+        weight[i] = alpha > 0.0 ? 1.0 / (alpha + (1.0 - alpha) * std::exp(m) * s)
+                                : std::exp(-(m + std::log(s)));
       }
-      // Likelihood ratio of the same defensive mixture at shift c:
-      // a_i = c * (u_i . v) - c^2/2, w = 1/(alpha + (1-alpha) e^m s).
-      double uv = 0.0, umv = 0.0;
-      for (std::size_t lane = 0; lane < kAllCellTransistors.size(); ++lane) {
-        const double vl = v.get(kAllCellTransistors[lane]);
-        uv += u.get(kAllCellTransistors[lane]) * vl;
-        umv += u_m.get(kAllCellTransistors[lane]) * vl;
-      }
-      const double a1 = c * uv - 0.5 * c * c;
-      const double a2 = c * umv - 0.5 * c * c;
-      const double m = std::max(a1, a2);
-      const double s = 0.5 * (std::exp(a1 - m) + std::exp(a2 - m));
-      const double weight =
-          alpha > 0.0 ? 1.0 / (alpha + (1.0 - alpha) * std::exp(m) * s)
-                      : std::exp(-(m + std::log(s)));
-
-      const double sdrv = surrogate_->predict_drv(v);
-      for (std::size_t k = 0; k < grid.size(); ++k) {
-        if (sdrv > grid[k]) {
-          sum_wf[t * grid.size() + k] += weight;
-          sum_wf2[t * grid.size() + k] += weight * weight;
-          grid_hit[k] = 1;
+      surrogate_->predict_drv_block(v, n, sdrv.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = 0; k < grid.size(); ++k) {
+          if (sdrv[i] > grid[k]) {
+            sum_wf[t * grid.size() + k] += weight[i];
+            sum_wf2[t * grid.size() + k] += weight[i] * weight[i];
+            grid_hit[k] = 1;
+          }
         }
       }
     }
@@ -314,6 +321,9 @@ std::uint64_t YieldPlan::fingerprint() const {
   // check: refusing a mixed resume is how the bit-identity contract stays
   // falsifiable instead of assumed.
   fp = fold_key(fp, static_cast<std::uint64_t>(resolved_yield_exact_batch()));
+  // Sampler numerics move the sampled field at the ulp level: a journal
+  // recorded under another inverse CDF must not blend with this one.
+  fp = fold_key(fp, kSamplerNumericsVersion);
   return fp;
 }
 
@@ -384,26 +394,30 @@ BlockAccum YieldPlan::run_block(std::size_t index,
   std::vector<CellVariation> staged_v;
   std::vector<std::size_t> staged_pos;
 
-  // Pass 1 — sampling, weights, surrogate gate.
-  for (std::size_t s = begin; s < end; ++s) {
+  // Pass 1 — sampling, weights, surrogate gate, chunk by chunk through the
+  // block sampler and the block surrogate.
+  constexpr std::size_t kChunk = kSampleChunkCells;
+  std::vector<double> z_store(6 * kChunk);
+  const CellVariationLanes z = CellVariationLanes::over(z_store.data(), kChunk);
+  for (std::size_t c0 = begin; c0 < end; c0 += kChunk) {
     poll_cancel(cancel, "yield block", 0, 0.0);
-
-    CellVariation v;
-    double w = 1.0;
+    const std::size_t n = std::min(kChunk, end - c0);
+    const std::size_t pos0 = c0 - begin;
+    // Importance samples come from their own stream (trial is 0 there).
+    sample_cell_variation_block(importance ? is_seed_ : options_.seed, trial, c0,
+                                n, z);
     if (importance) {
-      // Component pick: [0, alpha) nominal, then the two shifted halves.
-      const double pick = counter_uniform(is_seed_, 0, s, kComponentLane);
       const double alpha = options_.is_defensive;
-      const std::array<double, 6>* mean = nullptr;
-      if (pick >= alpha)
-        mean = pick < alpha + 0.5 * (1.0 - alpha) ? &shift_ : &shift_mirror_;
-      for (std::size_t lane = 0; lane < kAllCellTransistors.size(); ++lane) {
-        const double z = counter_normal(is_seed_, 0, s, lane);
-        v.set(kAllCellTransistors[lane], z + (mean ? (*mean)[lane] : 0.0));
+      for (std::size_t i = 0; i < n; ++i) {
+        // Component pick: [0, alpha) nominal, then the two shifted halves.
+        const double pick = counter_uniform(is_seed_, 0, c0 + i, kComponentLane);
+        const std::array<double, 6>* mean = nullptr;
+        if (pick >= alpha)
+          mean = pick < alpha + 0.5 * (1.0 - alpha) ? &shift_ : &shift_mirror_;
+        for (std::size_t lane = 0; lane < kAllCellTransistors.size(); ++lane)
+          z.lane[lane][i] += mean ? (*mean)[lane] : 0.0;
+        weights[pos0 + i] = importance_weight(z.cell(i));
       }
-      w = importance_weight(v);
-    } else {
-      v = sample_cell_variation(options_.seed, trial, s);
     }
 
     // Cheap pre-filter: the surrogate classifies every cell; only candidates
@@ -412,15 +426,14 @@ BlockAccum YieldPlan::run_block(std::size_t index,
     // point, so the surrogate value classifies identically to the exact one
     // (up to surrogate error — which is what the margin absorbs, and what
     // the equivalence suite bounds).
-    const double surrogate_drv = surrogate_->predict_drv(v);
-    const bool candidate = surrogate_drv >= gate_;
-    const std::size_t pos = s - begin;
-    weights[pos] = w;
-    drvs[pos] = surrogate_drv;
-    if (candidate) ++acc.candidates;
-    if (options_.mode == YieldMode::BruteForceExact || candidate) {
-      staged_v.push_back(v);
-      staged_pos.push_back(pos);
+    surrogate_->predict_drv_block(z, n, drvs.data() + pos0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool candidate = drvs[pos0 + i] >= gate_;
+      if (candidate) ++acc.candidates;
+      if (options_.mode == YieldMode::BruteForceExact || candidate) {
+        staged_v.push_back(z.cell(i));
+        staged_pos.push_back(pos0 + i);
+      }
     }
   }
 

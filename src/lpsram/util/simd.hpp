@@ -226,6 +226,15 @@ struct DoubleVec {
     for (std::size_t i = 0; i < W; ++i) r.lane[i] = base[idx[i]];
     return r;
   }
+  // base[idx] per lane for integral-valued idx in [0, 2^31) — table
+  // lookups whose index is computed in lanes. Exact loads, so identical on
+  // every backend.
+  static DoubleVec gather_at(const double* base, DoubleVec idx) noexcept {
+    DoubleVec r;
+    for (std::size_t i = 0; i < W; ++i)
+      r.lane[i] = base[static_cast<std::ptrdiff_t>(idx.lane[i])];
+    return r;
+  }
   // Left-to-right lane sum (deterministic per backend).
   static double hsum(DoubleVec a) noexcept {
     double s = a.lane[0];
@@ -330,6 +339,9 @@ struct DoubleVec<8> {
     const __m256i vi =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
     return {_mm512_i32gather_pd(vi, base, 8)};
+  }
+  static DoubleVec gather_at(const double* base, DoubleVec idx) noexcept {
+    return {_mm512_i32gather_pd(_mm512_cvttpd_epi32(idx.v), base, 8)};
   }
   static double hsum(DoubleVec a) noexcept {
     double tmp[8];
@@ -445,6 +457,9 @@ struct DoubleVec<4> {
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
     return {_mm256_i32gather_pd(base, vi, 8)};
   }
+  static DoubleVec gather_at(const double* base, DoubleVec idx) noexcept {
+    return {_mm256_i32gather_pd(base, _mm256_cvttpd_epi32(idx.v), 8)};
+  }
   static double hsum(DoubleVec a) noexcept {
     double tmp[4];
     _mm256_storeu_pd(tmp, a.v);
@@ -536,6 +551,11 @@ struct DoubleVec<2> {
 
   static DoubleVec gather(const double* base, const int* idx) noexcept {
     double tmp[2] = {base[idx[0]], base[idx[1]]};
+    return {vld1q_f64(tmp)};
+  }
+  static DoubleVec gather_at(const double* base, DoubleVec idx) noexcept {
+    double tmp[2] = {base[static_cast<std::ptrdiff_t>(vgetq_lane_f64(idx.v, 0))],
+                     base[static_cast<std::ptrdiff_t>(vgetq_lane_f64(idx.v, 1))]};
     return {vld1q_f64(tmp)};
   }
   static double hsum(DoubleVec a) noexcept {

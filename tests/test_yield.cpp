@@ -99,9 +99,30 @@ TEST(CounterRng, UniformStrictlyInsideUnitInterval) {
   EXPECT_NEAR(var, 1.0 / 12.0, 0.002);
 }
 
+// The uniforms at both ends of counter_uniform's grid: (0 + 0.5) * 2^-53,
+// and the largest double below 1, where the top grid point is clamped.
+constexpr double kMinUniform = 0x1p-54;
+constexpr double kMaxUniform = 0x1.fffffffffffffp-1;
+
+// AS241's branch edges: |p - 0.5| = 0.425 splits central from tail, and
+// r = sqrt(-log(min(p, 1 - p))) = 5 splits the near tail from the far one.
+std::vector<double> quantile_edge_points() {
+  std::vector<double> points = {kMinUniform, kMaxUniform};
+  const double r5 = std::exp(-25.0);
+  for (const double edge : {0.075, 0.925, r5, 1.0 - r5}) {
+    points.push_back(std::nextafter(edge, 0.0));
+    points.push_back(edge);
+    points.push_back(std::nextafter(edge, 1.0));
+  }
+  return points;
+}
+
 TEST(CounterRng, NormalQuantileInvertsCdf) {
-  for (const double p : {1e-12, 1e-9, 1e-6, 1e-3, 0.02, 0.02425, 0.1, 0.3,
-                         0.5, 0.7, 0.9, 0.97575, 0.999, 1.0 - 1e-9}) {
+  std::vector<double> points = {1e-12, 1e-9,    1e-6,  1e-3,  0.02,
+                                0.02425, 0.1,   0.3,   0.5,   0.7,
+                                0.9,   0.97575, 0.999, 1.0 - 1e-9};
+  for (const double p : quantile_edge_points()) points.push_back(p);
+  for (const double p : points) {
     const double x = normal_quantile(p);
     EXPECT_NEAR(normal_cdf(x), p, 1e-15 + 1e-12 * p) << "p=" << p;
     // Antisymmetry of the inverse CDF — only where 1-p is representable to
@@ -135,6 +156,91 @@ TEST(CounterRng, SampleCellVariationMatchesLanes) {
   for (std::size_t lane = 0; lane < kAllCellTransistors.size(); ++lane)
     EXPECT_DOUBLE_EQ(v.get(kAllCellTransistors[lane]),
                      counter_normal(11, 3, 17, lane));
+}
+
+TEST(CounterRng, UniformNeverReachesOne) {
+  // The top 53-bit grid point rounds to 1.0 before the clamp; every draw,
+  // whatever its bits, stays strictly inside (0, 1).
+  EXPECT_EQ((static_cast<double>((~0ULL) >> 11) + 0.5) * 0x1p-53, 1.0);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const double u = counter_uniform(5, 0, i, 0);
+    EXPECT_GE(u, kMinUniform);
+    EXPECT_LE(u, kMaxUniform);
+  }
+}
+
+// Block sampler + block surrogate against the scalar oracles, bit for bit:
+// >= 2^20 cells in chunks of uneven sizes (remainders of every native
+// width) at nonzero first cells, and the surrogate on a field scaled past
+// both ends of its knot table.
+TEST(CounterRng, BlockMatchesScalar) {
+  constexpr std::uint64_t kSeed = 0xB10CULL;
+  constexpr std::uint64_t kTrial = 3;
+  constexpr std::size_t kChunks[] = {1, 3, 7, 8, 9, 63, 64, 65, 255, 1000, 4097};
+  constexpr std::size_t kMaxChunk = 4097;
+  std::vector<double> store(6 * kMaxChunk), scaled_store(6 * kMaxChunk);
+  std::vector<double> drv(kMaxChunk), scaled_drv(kMaxChunk);
+  const CellVariationLanes z = CellVariationLanes::over(store.data(), kMaxChunk);
+  const CellVariationLanes zs =
+      CellVariationLanes::over(scaled_store.data(), kMaxChunk);
+
+  std::uint64_t first = 12345, cells = 0, mismatches = 0;
+  for (std::size_t c = 0; cells < (1u << 20); ++c) {
+    const std::size_t n = kChunks[c % std::size(kChunks)];
+    sample_cell_variation_block(kSeed, kTrial, first, n, z);
+    for (std::size_t l = 0; l < 6; ++l)
+      for (std::size_t i = 0; i < n; ++i) zs.lane[l][i] = 4.0 * z.lane[l][i];
+    surrogate().predict_drv_block(z, n, drv.data());
+    surrogate().predict_drv_block(zs, n, scaled_drv.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const CellVariation v = sample_cell_variation(kSeed, kTrial, first + i);
+      const CellVariation block = z.cell(i);
+      CellVariation scaled;
+      for (const CellTransistor t : kAllCellTransistors) {
+        mismatches += key_bits(block.get(t)) != key_bits(v.get(t));
+        scaled.set(t, 4.0 * v.get(t));
+      }
+      mismatches += key_bits(drv[i]) != key_bits(surrogate().predict_drv(v));
+      mismatches +=
+          key_bits(scaled_drv[i]) != key_bits(surrogate().predict_drv(scaled));
+    }
+    first += n + 17;  // skip a few cells: chunks start anywhere
+    cells += n;
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << cells << " cells";
+
+  // The inverse CDF alone at its branch edges and the extreme uniforms, at
+  // every count up to two full vectors plus one.
+  const std::vector<double> edges = quantile_edge_points();
+  for (std::size_t n = 1; n <= 2 * simd::kNativeWidth + 1; ++n) {
+    std::vector<double> p(n), x(n);
+    for (std::size_t i = 0; i < n; ++i) p[i] = edges[(i + n) % edges.size()];
+    normal_quantile_block(p.data(), x.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(key_bits(x[i]), key_bits(normal_quantile(p[i])))
+          << "p=" << p[i] << " n=" << n;
+  }
+}
+
+// Cross-backend gate: a digest of the raw bits of z and surrogate DRV over
+// the first 2^20 cells at a fixed seed. Every operation behind them is
+// exact or single-rounded, so the native, sanitizer and forced-scalar
+// (-DLPSRAM_SIMD=off) builds must all land on this one constant.
+TEST(CounterRng, FieldDigestPinned) {
+  constexpr std::size_t kChunk = 4096;
+  std::vector<double> store(6 * kChunk), drv(kChunk);
+  const CellVariationLanes z = CellVariationLanes::over(store.data(), kChunk);
+  std::uint64_t digest = 0x46494C44ULL;  // "FILD"
+  for (std::size_t c0 = 0; c0 < (1u << 20); c0 += kChunk) {
+    sample_cell_variation_block(0x5EEDULL, 0, c0, kChunk, z);
+    surrogate().predict_drv_block(z, kChunk, drv.data());
+    for (std::size_t i = 0; i < kChunk; ++i) {
+      for (std::size_t l = 0; l < 6; ++l)
+        digest = fold_key(digest, key_bits(z.lane[l][i]));
+      digest = fold_key(digest, key_bits(drv[i]));
+    }
+  }
+  EXPECT_EQ(digest, 0x804204ffc117ad8dULL) << std::hex << "0x" << digest;
 }
 
 // ---------- surrogate / lane-kernel equivalence -----------------------------
