@@ -24,6 +24,10 @@
 // solves) it must at least not regress. Both runs must produce bit-identical
 // curves, or the speedup is meaningless.
 //
+// Both curve sections record their executor task count; the check script
+// fails an importance curve cut into fewer than 8 tasks (its samples mostly
+// take exact solves, so too few blocks leave cores idle).
+//
 // Writes BENCH_yield.json with the `lpsram_build_type` stamp; the check
 // script refuses debug-build reports.
 //
@@ -199,8 +203,9 @@ int main(int argc, char** argv) {
   std::printf("  |p_is - p_ref| = %.3e vs combined CI %.3e: %s\n",
               std::fabs(is_tail.p - ref_tail.p), combined_ci,
               ci_overlap ? "OVERLAP" : "DISJOINT (BUG?)");
-  std::printf("  wall: reference %.1f s, importance %.1f s\n", ref_wall,
-              is_wall);
+  std::printf("  wall: reference %.1f s (%zu tasks), importance %.1f s "
+              "(%zu tasks)\n",
+              ref_wall, ref_plan.task_count(), is_wall, is_plan.task_count());
 
   // Candidate exact-solve batching at two densities, one worker thread.
   // Sparse: the default gate margin — surrogate evaluation dominates, exact
@@ -241,11 +246,11 @@ int main(int argc, char** argv) {
         "  \"reference\": {\"mode\": \"blockade\", \"trials\": %d, "
         "\"samples\": %llu, \"exact_solves\": %llu, \"p\": %.9e, "
         "\"ci95\": %.9e, \"rel_ci\": %.6f, \"ess\": %.1f, "
-        "\"failures\": %llu, \"wall_s\": %.3f},\n"
+        "\"failures\": %llu, \"tasks\": %zu, \"wall_s\": %.3f},\n"
         "  \"importance\": {\"mode\": \"importance\", \"shift\": %.2f, "
         "\"samples\": %llu, \"exact_solves\": %llu, \"p\": %.9e, "
         "\"ci95\": %.9e, \"rel_ci\": %.6f, \"ess\": %.1f, "
-        "\"failures\": %llu, \"wall_s\": %.3f},\n"
+        "\"failures\": %llu, \"tasks\": %zu, \"wall_s\": %.3f},\n"
         "  \"bf_solves_needed\": %.6e,\n"
         "  \"solve_ratio\": %.8f,\n"
         "  \"ci_overlap\": %s,\n"
@@ -266,12 +271,13 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(reference.exact_solves), ref_tail.p,
         ref_tail.ci95, ref_tail.rel_ci, ref_tail.ess,
         static_cast<unsigned long long>(reference.points[gate_k].failures),
-        ref_wall, is_options.is_shift,
+        ref_plan.task_count(), ref_wall, is_options.is_shift,
         static_cast<unsigned long long>(importance.samples),
         static_cast<unsigned long long>(importance.exact_solves), is_tail.p,
         is_tail.ci95, is_tail.rel_ci, is_tail.ess,
         static_cast<unsigned long long>(importance.points[gate_k].failures),
-        is_wall, bf_needed, solve_ratio, ci_overlap ? "true" : "false",
+        is_plan.task_count(), is_wall, bf_needed, solve_ratio,
+        ci_overlap ? "true" : "false",
         sparse.margin, static_cast<unsigned long long>(sparse.samples),
         static_cast<unsigned long long>(sparse.candidates),
         static_cast<unsigned long long>(sparse.exact_solves), sparse.one_wall,

@@ -11,6 +11,9 @@
 // campaign runtime: Ctrl-C / SIGTERM drains gracefully, and rerunning the
 // same command replays finished blocks and samples only the rest, with
 // results bit-identical to an uninterrupted run.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +36,29 @@ void usage(const char* argv0) {
       argv0);
 }
 
+// A whole unsigned integer in [min, max]. strtoull alone would accept
+// "abc" (as 0), a trailing suffix, and "-5" (wrapped to 2^64 - 5).
+bool parse_unsigned(const char* s, int base, unsigned long long min,
+                    unsigned long long max, unsigned long long& out) {
+  if (*s < '0' || *s > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s, &end, base);
+  if (errno != 0 || *end != '\0' || v < min || v > max) return false;
+  out = v;
+  return true;
+}
+
+// A whole finite decimal number (no trailing characters).
+bool parse_number(const char* s, double& out) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno != 0 || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
 void print_result(const YieldPlan& plan, const YieldResult& result) {
   const YieldEngineOptions& options = plan.options();
   std::printf("# %s\n", yield_summary_line(plan, result).c_str());
@@ -53,64 +79,7 @@ void print_result(const YieldPlan& plan, const YieldResult& result) {
   std::printf("# [%s]\n", result.telemetry.summary().c_str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  YieldEngineOptions options;
-  options.rows = 256;  // demo-sized by default; --rows 4096 for the paper array
-  options.cols = 64;
-  options.trials = 2;
-  std::string journal;
-  std::vector<double> vregs;
-
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--mode") == 0) {
-      const char* m = next();
-      if (std::strcmp(m, "brute") == 0) options.mode = YieldMode::BruteForceExact;
-      else if (std::strcmp(m, "blockade") == 0) options.mode = YieldMode::Blockade;
-      else if (std::strcmp(m, "is") == 0) options.mode = YieldMode::ImportanceSampled;
-      else { usage(argv[0]); return 2; }
-    } else if (std::strcmp(argv[i], "--rows") == 0) {
-      options.rows = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--cols") == 0) {
-      options.cols = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--trials") == 0) {
-      options.trials = std::atoi(next());
-    } else if (std::strcmp(argv[i], "--samples") == 0) {
-      options.is_samples = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--shift") == 0) {
-      options.is_shift = std::atof(next());
-    } else if (std::strcmp(argv[i], "--auto-shift") == 0) {
-      options.auto_shift = true;
-    } else if (std::strcmp(argv[i], "--exact-batch") == 0) {
-      const char* b = next();
-      if (std::strcmp(b, "one-at-a-time") == 0)
-        set_default_yield_exact_batch(YieldExactBatchKind::OneAtATime);
-      else if (std::strcmp(b, "lane-batch") == 0)
-        set_default_yield_exact_batch(YieldExactBatchKind::LaneBatch);
-      else { usage(argv[0]); return 2; }
-    } else if (std::strcmp(argv[i], "--vreg") == 0) {
-      vregs.push_back(std::atof(next()));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = std::strtoull(next(), nullptr, 0);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      options.threads = std::atoi(next());
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      journal = next();
-    } else {
-      usage(argv[0]);
-      return 2;
-    }
-  }
-  if (!vregs.empty()) options.vreg_grid = vregs;
-
+int run(const YieldEngineOptions& options, const std::string& journal) {
   const Technology tech = Technology::lp40nm();
   std::printf("# training DRV surrogate...\n");
   const DrvSurrogate surrogate = DrvSurrogate::train(tech);
@@ -150,6 +119,8 @@ int main(int argc, char** argv) {
     campaign.compact();
     std::printf("# journal now holds %zu completed block(s).\n",
                 campaign.completed_tasks());
+  } catch (const InvalidArgument&) {
+    throw;  // e.g. a journal of another configuration: rerunning won't help
   } catch (const Error& e) {
     std::printf("# interrupted (%s) — journal retains %zu completed "
                 "block(s); rerun this command to resume.\n",
@@ -157,4 +128,93 @@ int main(int argc, char** argv) {
     return 130;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  YieldEngineOptions options;
+  options.rows = 256;  // demo-sized by default; --rows 4096 for the paper array
+  options.cols = 64;
+  options.trials = 2;
+  std::string journal;
+  std::vector<double> vregs;
+
+  for (int i = 1; i < argc; ++i) {
+    const auto next = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        usage(argv[0]);
+        std::exit(2);
+      }
+      return argv[++i];
+    };
+    const auto whole = [&](int base, unsigned long long min,
+                           unsigned long long max) {
+      unsigned long long v = 0;
+      if (!parse_unsigned(next(), base, min, max, v)) {
+        usage(argv[0]);
+        std::exit(2);
+      }
+      return v;
+    };
+    const auto positive = [&](unsigned long long max) { return whole(10, 1, max); };
+    const auto number = [&]() {
+      double v = 0.0;
+      if (!parse_number(next(), v)) {
+        usage(argv[0]);
+        std::exit(2);
+      }
+      return v;
+    };
+    if (std::strcmp(argv[i], "--mode") == 0) {
+      const char* m = next();
+      if (std::strcmp(m, "brute") == 0) options.mode = YieldMode::BruteForceExact;
+      else if (std::strcmp(m, "blockade") == 0) options.mode = YieldMode::Blockade;
+      else if (std::strcmp(m, "is") == 0) options.mode = YieldMode::ImportanceSampled;
+      else { usage(argv[0]); return 2; }
+    } else if (std::strcmp(argv[i], "--rows") == 0) {
+      options.rows = static_cast<std::size_t>(positive(SIZE_MAX));
+    } else if (std::strcmp(argv[i], "--cols") == 0) {
+      options.cols = static_cast<std::size_t>(positive(SIZE_MAX));
+    } else if (std::strcmp(argv[i], "--trials") == 0) {
+      options.trials = static_cast<int>(positive(INT_MAX));
+    } else if (std::strcmp(argv[i], "--samples") == 0) {
+      options.is_samples = static_cast<std::size_t>(positive(SIZE_MAX));
+    } else if (std::strcmp(argv[i], "--shift") == 0) {
+      options.is_shift = number();
+    } else if (std::strcmp(argv[i], "--auto-shift") == 0) {
+      options.auto_shift = true;
+    } else if (std::strcmp(argv[i], "--exact-batch") == 0) {
+      const char* b = next();
+      if (std::strcmp(b, "one-at-a-time") == 0)
+        set_default_yield_exact_batch(YieldExactBatchKind::OneAtATime);
+      else if (std::strcmp(b, "lane-batch") == 0)
+        set_default_yield_exact_batch(YieldExactBatchKind::LaneBatch);
+      else { usage(argv[0]); return 2; }
+    } else if (std::strcmp(argv[i], "--vreg") == 0) {
+      vregs.push_back(number());
+    } else if (std::strcmp(argv[i], "--seed") == 0) {
+      options.seed = whole(0, 0, ULLONG_MAX);
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      options.threads = static_cast<int>(positive(INT_MAX));
+    } else if (std::strcmp(argv[i], "--resume") == 0) {
+      journal = next();
+    } else {
+      usage(argv[0]);
+      return 2;
+    }
+  }
+  if (!vregs.empty()) options.vreg_grid = vregs;
+
+  // Plan validation (a descending --vreg grid, a negative --shift, a journal
+  // of another configuration) surfaces as a typed error, not an abort.
+  try {
+    return run(options, journal);
+  } catch (const InvalidArgument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
 }

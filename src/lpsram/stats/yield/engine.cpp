@@ -32,6 +32,15 @@ constexpr std::uint64_t kPilotStreamTag = 0x5053ULL;
 // amortizes, small enough that the staging working set stays cache-resident.
 constexpr std::size_t kExactBatchLanes = 32;
 
+// Block cap for the modes where most samples take an exact solve
+// (ImportanceSampled, BruteForceExact). block_cells is sized for blockade
+// sampling at ~0.1 us a cell; an exact cross-cell solve costs ~75 us, so a
+// 16384-cell IS block is ~1 s of work and a 20k-sample curve is only two
+// tasks. 16 lane chunks (~40 ms at IS gating rates) give the executor
+// enough tasks to keep every core busy. Sample coordinates are global, so
+// the cap changes only how the per-block float sums associate.
+constexpr std::size_t kExactBlockSamples = 16 * kExactBatchLanes;
+
 std::atomic<YieldExactBatchKind> g_default_yield_exact_batch{
     YieldExactBatchKind::LaneBatch};
 
@@ -91,6 +100,10 @@ YieldPlan::YieldPlan(const Technology& tech, const DrvSurrogate& surrogate,
     throw InvalidArgument("YieldPlan: blockade_margin must be >= 0");
 
   gate_ = options_.vreg_grid.front() - options_.blockade_margin;
+  // Resolved here, like the pilot's is_shift, so the task count and the
+  // fingerprint both see the block size the plan actually runs.
+  if (options_.mode != YieldMode::Blockade)
+    options_.block_cells = std::min(options_.block_cells, kExactBlockSamples);
 
   if (options_.mode == YieldMode::ImportanceSampled) {
     if (options_.is_samples < 1)

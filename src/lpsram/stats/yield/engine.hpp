@@ -134,8 +134,11 @@ struct YieldEngineOptions {
   // Surrogate safety margin [V]: cells whose surrogate DRV lands within
   // this margin below the lowest grid Vreg (or above it) are solved exactly.
   double blockade_margin = 0.06;
-  // Cells per executor task. Blocks never span trials, so per-trial array
-  // maxima reduce in index order.
+  // Upper bound on cells (or IS samples) per executor task. Blockade runs
+  // exactly this size; ImportanceSampled and BruteForceExact cap it at 512,
+  // since nearly every sample there takes an exact solve, and the plan's
+  // options() report the capped value. Blocks never span trials, so
+  // per-trial array maxima reduce in index order.
   std::size_t block_cells = 16384;
   Corner corner = Corner::Typical;
   double temp_c = 25.0;

@@ -372,6 +372,22 @@ YieldEngineOptions small_options(YieldMode mode) {
   return options;
 }
 
+// An auto-shifted importance-sampled curve cut into four 512-sample blocks,
+// so the determinism contracts cover a multi-block IS reduce as well as the
+// blockade one.
+YieldEngineOptions multi_block_is_options() {
+  YieldEngineOptions options = small_options(YieldMode::ImportanceSampled);
+  options.is_samples = 2000;
+  options.auto_shift = true;
+  return options;
+}
+
+// |actual - expected| <= 1e-12 |expected|: a re-associated float sum.
+void expect_rel_near(double actual, double expected, const char* what) {
+  EXPECT_LE(std::fabs(actual - expected), 1e-12 * std::fabs(expected))
+      << what << ": " << actual << " vs " << expected;
+}
+
 TEST(YieldPlan, ValidatesOptions) {
   YieldEngineOptions bad = small_options(YieldMode::Blockade);
   bad.trials = 0;
@@ -402,6 +418,64 @@ TEST(YieldPlan, BlocksNeverSpanTrialsAndCoverEveryCell) {
   const YieldResult result = run_yield(plan);
   EXPECT_EQ(result.samples, 300u);
   EXPECT_EQ(result.array_dist.samples.size(), 3u);
+}
+
+TEST(YieldPlan, ExactHeavyModesCapBlockSize) {
+  // Default options: a 20k-sample IS curve runs in 512-sample blocks.
+  YieldEngineOptions is_options;
+  is_options.mode = YieldMode::ImportanceSampled;
+  const YieldPlan is_plan(tech(), surrogate(), is_options);
+  EXPECT_EQ(is_plan.options().block_cells, 512u);
+  EXPECT_EQ(is_plan.task_count(), 40u);
+  // The cap resolves before the fingerprint: asking for 512 is the same plan.
+  is_options.block_cells = 512;
+  EXPECT_EQ(YieldPlan(tech(), surrogate(), is_options).fingerprint(),
+            is_plan.fingerprint());
+
+  // Brute force is capped the same way: 4096x64 cells per trial, 4 trials.
+  YieldEngineOptions brute;
+  brute.mode = YieldMode::BruteForceExact;
+  const YieldPlan brute_plan(tech(), surrogate(), brute);
+  EXPECT_EQ(brute_plan.options().block_cells, 512u);
+  EXPECT_EQ(brute_plan.blocks_per_trial(), 512u);
+  EXPECT_EQ(brute_plan.task_count(), 2048u);
+
+  // Blockade keeps its 16384-cell blocks and a fingerprint that still tells
+  // them apart from 512-cell ones.
+  const YieldEngineOptions blockade;
+  const YieldPlan blockade_plan(tech(), surrogate(), blockade);
+  EXPECT_EQ(blockade_plan.options().block_cells, 16384u);
+  EXPECT_EQ(blockade_plan.blocks_per_trial(), 16u);
+  EXPECT_EQ(blockade_plan.task_count(), 64u);
+  YieldEngineOptions small_blocks = blockade;
+  small_blocks.block_cells = 512;
+  EXPECT_NE(YieldPlan(tech(), surrogate(), small_blocks).fingerprint(),
+            blockade_plan.fingerprint());
+
+  // Sample coordinates are global, so another decomposition samples the
+  // same field: every integer counter matches, and the float sums only
+  // re-associate.
+  const YieldEngineOptions coarse = multi_block_is_options();
+  YieldEngineOptions fine = coarse;
+  fine.block_cells = 64;
+  const YieldPlan coarse_plan(tech(), surrogate(), coarse);
+  const YieldPlan fine_plan(tech(), surrogate(), fine);
+  ASSERT_EQ(coarse_plan.task_count(), 4u);
+  ASSERT_EQ(fine_plan.task_count(), 32u);
+  const YieldResult a = run_yield(coarse_plan);
+  const YieldResult b = run_yield(fine_plan);
+  EXPECT_EQ(b.samples, a.samples);
+  EXPECT_EQ(b.candidates, a.candidates);
+  EXPECT_EQ(b.exact_solves, a.exact_solves);
+  ASSERT_EQ(b.points.size(), a.points.size());
+  for (std::size_t k = 0; k < a.points.size(); ++k) {
+    SCOPED_TRACE("vreg " + std::to_string(a.points[k].vreg));
+    EXPECT_GT(a.points[k].failures, 0u);
+    EXPECT_EQ(b.points[k].failures, a.points[k].failures);
+    expect_rel_near(b.points[k].tail.p, a.points[k].tail.p, "p");
+    expect_rel_near(b.points[k].tail.ci95, a.points[k].tail.ci95, "ci95");
+    expect_rel_near(b.points[k].tail.ess, a.points[k].tail.ess, "ess");
+  }
 }
 
 TEST(YieldPlan, FingerprintSeparatesConfigurations) {
@@ -482,30 +556,31 @@ TEST(YieldAcceptance, ImportanceSamplingMatchesBruteForceWithinCi) {
 // ---------- determinism contracts -------------------------------------------
 
 TEST(YieldDeterminism, BitIdenticalAcrossThreadCounts) {
-  YieldEngineOptions options = small_options(YieldMode::Blockade);
-  options.rows = 128;
-  options.block_cells = 256;
-  options.threads = 1;
-  const YieldPlan plan1(tech(), surrogate(), options);
-  const YieldResult r1 = run_yield(plan1);
-  for (const int threads : {2, 8}) {
-    options.threads = threads;
-    const YieldPlan plan(tech(), surrogate(), options);
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_bit_identical(run_yield(plan), r1);
+  YieldEngineOptions blockade = small_options(YieldMode::Blockade);
+  blockade.rows = 128;
+  blockade.block_cells = 256;
+  for (YieldEngineOptions options : {blockade, multi_block_is_options()}) {
+    SCOPED_TRACE(yield_mode_name(options.mode));
+    options.threads = 1;
+    const YieldPlan plan1(tech(), surrogate(), options);
+    ASSERT_GE(plan1.task_count(), 4u);
+    const YieldResult r1 = run_yield(plan1);
+    for (const int threads : {2, 8}) {
+      options.threads = threads;
+      const YieldPlan plan(tech(), surrogate(), options);
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      expect_bit_identical(run_yield(plan), r1);
+    }
   }
 }
 
-TEST(YieldDeterminism, KillAtEveryRecordBoundaryResumesBitIdentical) {
-  YieldEngineOptions options = small_options(YieldMode::Blockade);
-  options.rows = 32;
-  options.vreg_grid = {0.30};
-  options.block_cells = 256;  // 512 cells/trial -> 2 blocks/trial, 4 tasks
-  const YieldPlan plan(tech(), surrogate(), options);
-  ASSERT_EQ(plan.task_count(), 4u);
+// Kills a journaled run of `plan` at every record append, resumes each torn
+// journal in a fresh Campaign and expects the uninterrupted curve bit for
+// bit. Returns the first append boundary the run completes before.
+std::uint64_t expect_resume_at_every_boundary(const YieldPlan& plan,
+                                              const std::string& name) {
   const YieldResult golden = run_yield(plan);
-
-  const std::string path = journal_path("kill_resume.journal");
+  const std::string path = journal_path(name);
   bool killed = true;
   std::uint64_t boundary = 1;
   for (; killed; ++boundary) {
@@ -525,8 +600,23 @@ TEST(YieldDeterminism, KillAtEveryRecordBoundaryResumesBitIdentical) {
     Campaign campaign(path);
     expect_bit_identical(run_yield(plan, &campaign), golden);
   }
+  return boundary - 1;
+}
+
+TEST(YieldDeterminism, KillAtEveryRecordBoundaryResumesBitIdentical) {
+  YieldEngineOptions options = small_options(YieldMode::Blockade);
+  options.rows = 32;
+  options.vreg_grid = {0.30};
+  options.block_cells = 256;  // 512 cells/trial -> 2 blocks/trial, 4 tasks
+  const YieldPlan plan(tech(), surrogate(), options);
+  ASSERT_EQ(plan.task_count(), 4u);
   // Manifest + 4 task records = 5 appends; first crash-free boundary is 6.
-  EXPECT_EQ(boundary - 1, 6u);
+  EXPECT_EQ(expect_resume_at_every_boundary(plan, "kill_resume.journal"), 6u);
+
+  const YieldPlan is_plan(tech(), surrogate(), multi_block_is_options());
+  ASSERT_EQ(is_plan.task_count(), 4u);
+  EXPECT_EQ(expect_resume_at_every_boundary(is_plan, "kill_resume_is.journal"),
+            6u);
 }
 
 TEST(YieldDeterminism, CampaignRefusesMismatchedConfiguration) {
@@ -545,6 +635,35 @@ TEST(YieldDeterminism, CampaignRefusesMismatchedConfiguration) {
   const YieldPlan other(tech(), surrogate(), options);
   Campaign campaign(path);
   EXPECT_THROW(run_yield(other, &campaign), InvalidArgument);
+}
+
+TEST(YieldDeterminism, JournalOfAnotherDecompositionIsRefused) {
+  // An IS journal recorded in four 512-sample blocks...
+  const YieldPlan plan(tech(), surrogate(), multi_block_is_options());
+  const std::string path = journal_path("decomposition_refusal.journal");
+  fs::remove(path);
+  {
+    Campaign campaign(path);
+    run_yield(plan, &campaign);
+  }
+  // ...against the same curve cut into 256-sample blocks. Task keys depend
+  // only on (mode, index), so blocks 0-3 of the journal would replay as
+  // blocks 0-3 of this plan and blend two decompositions; the manifest
+  // must refuse them on resume and on reduce alike.
+  YieldEngineOptions options = multi_block_is_options();
+  options.block_cells = 256;
+  const YieldPlan other(tech(), surrogate(), options);
+  ASSERT_EQ(other.task_count(), 8u);
+  EXPECT_EQ(other.key_of(0), plan.key_of(0));
+  EXPECT_NE(other.fingerprint(), plan.fingerprint());
+  {
+    Campaign campaign(path);
+    EXPECT_THROW(run_yield(other, &campaign), InvalidArgument);
+  }
+  EXPECT_THROW(reduce_yield_journal(other, path), InvalidArgument);
+  // The journal is untouched by the refusals and still reduces under its
+  // own plan.
+  expect_bit_identical(reduce_yield_journal(plan, path), run_yield(plan));
 }
 
 TEST(YieldDeterminism, ReduceJournalRequiresMatchingFingerprintAndAllTasks) {
@@ -831,15 +950,12 @@ TEST(YieldSummary, LineReportsEngineAccounting) {
 }
 
 #ifdef LPSRAM_YIELD_POSIX
-TEST(YieldDeterminism, FabricShardedFleetReducesBitIdentical) {
-  YieldEngineOptions options = small_options(YieldMode::Blockade);
-  options.rows = 32;
-  options.vreg_grid = {0.30};
-  options.block_cells = 256;  // 4 tasks across 2 workers
-  const YieldPlan plan(tech(), surrogate(), options);
+// Shards `plan` over a 2-worker fabric fleet and expects the merged journal
+// to reduce to the single-process curve bit for bit.
+void expect_fleet_bit_identical(const YieldPlan& plan, const std::string& name) {
   const YieldResult golden = run_yield(plan);
 
-  const fs::path dir = fs::path("yield-journals") / "fabric_fleet";
+  const fs::path dir = fs::path("yield-journals") / name;
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -859,6 +975,19 @@ TEST(YieldDeterminism, FabricShardedFleetReducesBitIdentical) {
 
   expect_bit_identical(reduce_yield_journal(plan, fabric_options.merged_path()),
                        golden);
+}
+
+TEST(YieldDeterminism, FabricShardedFleetReducesBitIdentical) {
+  YieldEngineOptions options = small_options(YieldMode::Blockade);
+  options.rows = 32;
+  options.vreg_grid = {0.30};
+  options.block_cells = 256;  // 4 tasks across 2 workers
+  expect_fleet_bit_identical(YieldPlan(tech(), surrogate(), options),
+                             "fabric_fleet");
+
+  const YieldPlan is_plan(tech(), surrogate(), multi_block_is_options());
+  ASSERT_EQ(is_plan.task_count(), 4u);
+  expect_fleet_bit_identical(is_plan, "fabric_fleet_is");
 }
 #endif  // LPSRAM_YIELD_POSIX
 

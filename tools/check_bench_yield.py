@@ -25,7 +25,12 @@ hold at the gate point (Vreg = 0.40 V on the 4Kx64 array):
     produced bit-identical curves under the two batch kinds, the lane batch
     must be >= MIN_LANE_SPEEDUP_HEAVY x faster than the one-at-a-time loop
     at heavy candidate density, and >= MIN_LANE_SPEEDUP_SPARSE x (i.e. not a
-    regression beyond noise) at sparse density.
+    regression beyond noise) at sparse density;
+  * the importance curve is cut into >= MIN_IS_TASKS executor tasks. Its
+    samples mostly take exact solves, so a plan sized for blockade sampling
+    (two 16384-sample blocks) leaves all but two cores idle. The `tasks`
+    key's absence is a hard fail, as with `candidate_exact`. Task counts are
+    deterministic, so this gate needs no timing.
 
 Build hygiene: the report must carry the `lpsram_build_type` context stamp
 and it must say "release" — numbers from a debug build are refused, not
@@ -51,6 +56,9 @@ MAX_REL_CI = 0.5
 # for wall-clock noise on a path whose runtime is surrogate-bound).
 MIN_LANE_SPEEDUP_HEAVY = 2.0
 MIN_LANE_SPEEDUP_SPARSE = 0.95
+# Importance-curve decomposition: 20k samples in 512-sample blocks are 40
+# tasks; the blockade-sized plan it replaced was 2.
+MIN_IS_TASKS = 8
 
 
 def check_build_type(context):
@@ -140,6 +148,21 @@ def main(argv):
         failed = True
     if not failed:
         print("OK: estimator health (p > 0, ESS, relative CI) within bounds")
+
+    if "tasks" not in imp:
+        print("FAIL: importance section lacks 'tasks' — it was recorded by a "
+              "bench binary predating the work-sized decomposition; "
+              "re-record from a current build", file=sys.stderr)
+        return 1
+    tasks = int(imp["tasks"])
+    if tasks < MIN_IS_TASKS:
+        print(f"FAIL: importance curve ran as {tasks} task(s), fewer than "
+              f"{MIN_IS_TASKS} — its exact-solve-heavy blocks cannot spread "
+              "over the executor", file=sys.stderr)
+        failed = True
+    else:
+        print(f"OK: importance curve ran as {tasks} >= {MIN_IS_TASKS} tasks "
+              f"(reference: {ref.get('tasks', '?')})")
 
     ce = report.get("candidate_exact")
     if ce is None:
