@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "lpsram/cell/drv.hpp"
 #include "lpsram/cell/flip_time.hpp"
@@ -196,9 +197,14 @@ TEST(Drv, MirroredVariationSwapsComponents) {
 // The paper's Fig. 4 observations 1/2: each transistor's adverse variation
 // direction raises DRV_DS1, the opposite direction does not.
 struct AdverseCase {
+  AdverseCase(CellTransistor t, double s) : transistor(t), sigma(s) {}
   CellTransistor transistor;
+  // gtest prints this parameter as a byte dump that becomes the ctest name;
+  // the explicit zero field leaves no uninitialized padding in that name.
+  std::int32_t zero = 0;
   double sigma;  // adverse direction for DRV_DS1
 };
+static_assert(sizeof(AdverseCase) == 16, "AdverseCase must have no padding");
 
 class AdverseDirectionTest : public ::testing::TestWithParam<AdverseCase> {};
 
