@@ -3,14 +3,19 @@
 // The scalar path (vtc.cpp + snm.cpp + drv.cpp) pays one Brent solve over a
 // std::function residual per VTC inversion, with a full Mosfet::eval per
 // transistor per probe. This engine restructures the same analyses around
-// structure-of-arrays batches:
+// structure-of-arrays batches. One engine serves both kinds of batch: the
+// lanes over one cell's probes (grid points, noise levels) and the lanes
+// over different cells (the yield engine's candidate DRVs), because every
+// lane carries its own cell, supply and noise level:
 //
 //  * N node inversions advance in lockstep through one masked
 //    Newton-bisection solver (util/rootfind_lanes), one batched residual
 //    round per iteration;
-//  * per-(device, temperature) model constants are hoisted once per engine
-//    (device/mosfet_lanes), and the source-side softplus of every NMOS is
-//    cached per lane — one exponential per probe instead of two;
+//  * per-(device, temperature) model constants are hoisted once per cell
+//    (device/mosfet_lanes) into per-cell tables, broadcast when the engine
+//    holds one cell and gathered per lane otherwise; the source-side
+//    softplus of every NMOS is cached — one exponential per probe instead
+//    of two;
 //  * the smallest-fixed-point scan walks the scalar 48-point grid but skips
 //    every grid point the monotone loop map already proves is below the
 //    fixed point (each evaluation T(x) with x ≤ x* is itself a lower bound
@@ -31,6 +36,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "lpsram/cell/core_cell.hpp"
@@ -73,64 +79,108 @@ class ScopedCellKernelDefault {
 };
 
 // ---------------------------------------------------------------------------
-// The engine: one instance per (cell, temperature, external bias), reusable
-// across supplies and noise levels — retains/hold_equilibrium/drv_hold share
-// one engine across their whole search instead of rebuilding VTC state per
-// probe.
+// The engine: the device constants of one or more cells at one temperature
+// under the hold bias, reusable across supplies and noise levels. Every
+// analysis runs over lanes, and each lane carries its own cell (an index
+// into the engine's cells), supply and noise level. A single-cell engine
+// serves one cell's probes (retains/hold_equilibrium/drv_hold share one
+// engine across their whole search); a multi-cell engine serves the yield
+// engine's cross-cell DRV batch. Both run the same arithmetic per lane, so
+// a lane's result does not depend on which engine or batch it rides in.
 
 class BatchHoldVtc {
  public:
-  explicit BatchHoldVtc(const CoreCell& cell, double temp_c,
-                        CoreCell::Bias bias = CoreCell::hold_bias());
-
-  // Lockstep VTC inversions: out[i] is the S-node (resp. SB-node) voltage
-  // for inverter input v_in[i] at supply vdd_cc — n solutions of the same
-  // monotone node residual the scalar HoldVtc inverts one at a time.
-  // `slope`, when given, receives d out[i] / d v_in[i] from the analytic
-  // device derivatives at the solution (used to Newton-polish fixed points).
-  void inverter_s(const double* v_in, std::size_t n, double vdd_cc,
-                  double* out, double* slope = nullptr);
-  void inverter_sb(const double* v_in, std::size_t n, double vdd_cc,
-                   double* out, double* slope = nullptr);
-
-  // Smallest fixed points of the stored-bit loop map for k adverse noise
-  // levels, warm-started from x_start (a known retained equilibrium for a
-  // smaller noise level, or 0.0 for a cold search — see DESIGN.md for why
-  // warm starts preserve the smallest-fixed-point guarantee). v_low[i] is
-  // the settled low-node voltage for noise[i]; v_high[i] the corresponding
-  // high node.
-  void smallest_fixed_points(StoredBit bit, double vdd_cc, const double* noise,
-                             std::size_t k, double x_start, double* v_low,
-                             double* v_high);
-
-  double temp_c() const noexcept { return temp_c_; }
-  const CoreCell& cell() const noexcept { return *cell_; }
-
- private:
-  struct InverterPlan {
-    MosfetLaneConsts pu;    // pull-up PMOS (MPcc1 / MPcc2)
-    MosfetLaneConsts pd;    // pull-down NMOS (MNcc1 / MNcc2)
-    MosfetLaneConsts pass;  // pass NMOS (MNcc3 / MNcc4)
-    NmosSourceCache pass_cache;  // gate/source fixed by the external bias
-    double pass_vs = 0.0;        // BL (side S) or BLB (side SB)
+  // Per-lane operands: lane i analyses cell[i] at supply vdd[i] under the
+  // adverse noise noise[i].
+  struct Lanes {
+    const std::size_t* cell;
+    const double* vdd;
+    const double* noise;
   };
 
+  // Scan-round budget that never evicts a lane.
+  static constexpr int kUnboundedScan = std::numeric_limits<int>::max();
+
+  BatchHoldVtc(const CoreCell* const* cells, std::size_t n, double temp_c);
+  BatchHoldVtc(const CoreCell& cell, double temp_c);
+
+  // Lockstep VTC inversions: out[i] is the S-node (resp. SB-node) voltage
+  // of cell[i] for inverter input v_in[i] at supply vdd[i] — n solutions of
+  // the same monotone node residual the scalar HoldVtc inverts one at a
+  // time. `slope`, when given, receives d out[i] / d v_in[i] from the
+  // analytic device derivatives at the solution.
+  void inverter_s(const std::size_t* cell, const double* vdd,
+                  const double* v_in, std::size_t n, double* out,
+                  double* slope = nullptr);
+  void inverter_sb(const std::size_t* cell, const double* vdd,
+                   const double* v_in, std::size_t n, double* out,
+                   double* slope = nullptr);
+
+  // Smallest fixed points of the stored-bit loop map for k lanes,
+  // warm-started from x_start (a known retained equilibrium for a smaller
+  // noise level, or 0.0 for a cold search — see DESIGN.md for why warm
+  // starts preserve the smallest-fixed-point guarantee). v_low[i] is the
+  // settled low-node voltage of lane i, v_high[i] the corresponding high
+  // node. Lanes still scanning after scan_round_budget rounds are appended
+  // to *evicted (by lane position; required with a finite budget) and their
+  // outputs left untouched.
+  void smallest_fixed_points(StoredBit bit, const Lanes& lanes, std::size_t k,
+                             double x_start, double* v_low, double* v_high,
+                             int scan_round_budget = kUnboundedScan,
+                             std::vector<std::size_t>* evicted = nullptr);
+
+  // Retains decisions for k lanes: held[i] is 1 when lane i's settled nodes
+  // stay more than kHoldMarginFraction * vdd[i] apart, else 0; v_low, when
+  // given, receives the settled low nodes. An evicted lane (see
+  // smallest_fixed_points) leaves held[i] and v_low[i] untouched.
+  void retains(StoredBit bit, const Lanes& lanes, std::size_t k,
+               double x_start, char* held, double* v_low = nullptr,
+               int scan_round_budget = kUnboundedScan,
+               std::vector<std::size_t>* evicted = nullptr);
+
+ private:
+  // Per-cell constants of one inverter side, one entry per cell.
+  struct Side {
+    std::vector<MosfetLaneConsts> pu;    // pull-up PMOS (MPcc1 / MPcc2)
+    std::vector<MosfetLaneConsts> pd;    // pull-down NMOS (MNcc1 / MNcc2)
+    std::vector<MosfetLaneConsts> pass;  // pass NMOS (MNcc3 / MNcc4)
+    std::vector<NmosSourceCache> pass_cache;  // gate/source fixed by the bias
+    double pass_vs = 0.0;                     // BL (side S) or BLB (side SB)
+  };
+
+  void add_cell(const CoreCell& cell, double temp_c);
+
   // Shared implementation of inverter_s/inverter_sb.
-  void invert(const InverterPlan& plan, const double* v_in, std::size_t n,
-              double vdd_cc, double* out, double* slope);
+  void invert(const Side& side, const std::size_t* cell, const double* vdd,
+              const double* v_in, std::size_t n, double* out, double* slope);
 
-  // One loop-map evaluation T(x) for m lanes with per-lane noise, plus the
-  // analytic map derivative T'(x) (product of the two inverter slopes) and
-  // the intermediate high-node voltage.
-  void loop_map(StoredBit bit, double vdd_cc, const double* x,
-                const double* noise, std::size_t m, double* out, double* slope,
-                double* v_high);
+  // One loop-map evaluation T(x) for m lanes, plus the analytic map
+  // derivative T'(x) (product of the two inverter slopes) when `slope` is
+  // given.
+  void loop_map(StoredBit bit, const Lanes& lanes, const double* x,
+                std::size_t m, double* out, double* slope);
 
-  const CoreCell* cell_;
-  double temp_c_;
-  CoreCell::Bias bias_;
-  InverterPlan side_s_;
-  InverterPlan side_sb_;
+  // Copies lane `lane` of `lanes` to position `pos` of the compacted lane
+  // buffers that picked() views.
+  void pick(const Lanes& lanes, std::size_t pos, std::size_t lane) {
+    fp_cell_[pos] = lanes.cell[lane];
+    fp_vdd_[pos] = lanes.vdd[lane];
+    fp_noise_[pos] = lanes.noise[lane];
+  }
+  Lanes picked() const {
+    return {fp_cell_.data(), fp_vdd_.data(), fp_noise_.data()};
+  }
+
+  struct ScanLane {
+    int grid = 1;          // next unvisited scalar grid index
+    double x_prev = 0.0;   // last probe with f > 0 (bracket low)
+    double probe = 0.0;    // probe submitted this round
+    double bracket_lo = 0.0, bracket_hi = 0.0;
+    enum class Phase { Scan, Refine, Done } phase = Phase::Scan;
+  };
+
+  Side side_s_;
+  Side side_sb_;
 
   // Scratch, reused across calls so the hot path is allocation-free after
   // warm-up. Node inversions and the fixed-point refinement nest (the map
@@ -141,8 +191,10 @@ class BatchHoldVtc {
   std::vector<NmosSourceCache> pd_cache_;
   std::vector<double> inv_lo_, inv_hi_, gm_sum_, gds_sum_;
   std::vector<double> map_in_, map_high_, map_slope_high_, map_slope_low_;
-  std::vector<double> fp_x_, fp_noise_, fp_t_, fp_slope_;
-  std::vector<std::size_t> fp_lanes_;
+  std::vector<ScanLane> scan_;
+  std::vector<std::size_t> fp_lanes_, fp_cell_;
+  std::vector<double> fp_vdd_, fp_noise_, fp_x_, fp_t_, fp_slope_;
+  std::vector<double> fp_lo_, fp_hi_, fp_root_, rt_vlow_, rt_vhigh_;
 };
 
 // ---------------------------------------------------------------------------
@@ -167,33 +219,33 @@ double drv_hold_batched(const CoreCell& cell, StoredBit bit, double temp_c,
                         const DrvOptions& options = {});
 
 // ---------------------------------------------------------------------------
-// Cross-cell DRV batching: lanes are *different cells*, not one cell's
-// node-inversion grid. The yield engine's candidate exact solves are the
-// consumer — a staging buffer of surrogate-gated samples marches through in
-// lane-width blocks, every cell running the same outer search in lockstep.
+// Cross-cell DRV batching: one multi-cell engine whose lanes are *different
+// cells*. The yield engine's candidate exact solves are the consumer — a
+// staging buffer of surrogate-gated samples marches through in lane-width
+// blocks, every cell running the same outer search in lockstep.
 //
 // Determinism contract: per lane the result is identical to the solo
 // `drv_hold_batched` call for that cell — the outer probe schedule is the
 // scalar monotone_threshold_log state machine per lane, each retains
-// evaluation runs the same scan/refine/high-node phases with per-lane
-// constants, and every per-lane solver trajectory (Newton-vs-bisect choices
-// included) depends only on the lane's own state plus a round counter that
-// both paths start at zero. Batch composition therefore cannot change any
+// evaluation runs the engine's one scan/refine/high-node pipeline, and
+// every per-lane solver trajectory (Newton-vs-bisect choices included)
+// depends only on the lane's own state plus a round counter that both
+// paths start at zero. Batch composition therefore cannot change any
 // cell's DRV, which is what lets the yield engine keep its curves
 // bit-identical across batch kinds.
 
 struct CrossDrvOptions {
   DrvOptions drv;
   // Scan rounds allowed inside one retains evaluation before a lane is
-  // evicted from the batch and re-solved solo (straggler safety valve; the
-  // monotone-accelerated scan needs well under 48 rounds in practice, so
-  // the default never triggers outside adversarial tests). Eviction is
-  // result-neutral: the solo path computes the identical DRV.
+  // evicted from the batch (straggler safety valve; the monotone-accelerated
+  // scan needs well under 48 rounds in practice, so the default never
+  // triggers outside adversarial tests). An evicted cell re-solves alone on
+  // the same engine with no budget, which computes the identical DRV.
   int scan_round_budget = 64;
 };
 
 struct CrossDrvStats {
-  std::size_t evicted = 0;  // lanes re-solved via the solo path
+  std::size_t evicted = 0;  // cells re-solved alone after an eviction
 };
 
 // DRV of one stored bit for n cells at one temperature; drv_out[i] receives

@@ -1,6 +1,9 @@
 #include "lpsram/cell/vtc.hpp"
 
+#include <string>
+
 #include "lpsram/cell/batch_vtc.hpp"
+#include "lpsram/util/error.hpp"
 #include "lpsram/util/rootfind.hpp"
 
 namespace lpsram {
@@ -25,6 +28,10 @@ double solve_node(const std::function<double(double)>& residual,
 std::vector<std::pair<double, double>> sample_curve(
     const CoreCell& cell, bool side_s, double vdd_cc, double temp_c,
     int points) {
+  // The grid spans both rails, so it needs both end points.
+  if (points < 2)
+    throw InvalidArgument("HoldVtc curve: need at least 2 points, got " +
+                          std::to_string(points));
   std::vector<std::pair<double, double>> curve;
   curve.reserve(static_cast<std::size_t>(points));
   if (resolved_cell_kernel() == CellKernelKind::Batched) {
@@ -32,11 +39,14 @@ std::vector<std::pair<double, double>> sample_curve(
     std::vector<double> in(n), out(n);
     for (int i = 0; i < points; ++i)
       in[static_cast<std::size_t>(i)] = vdd_cc * i / (points - 1);
+    // One cell at one supply: every lane names cell 0.
+    const std::vector<std::size_t> cell0(n, 0);
+    const std::vector<double> vdd(n, vdd_cc);
     BatchHoldVtc engine(cell, temp_c);
     if (side_s) {
-      engine.inverter_s(in.data(), n, vdd_cc, out.data());
+      engine.inverter_s(cell0.data(), vdd.data(), in.data(), n, out.data());
     } else {
-      engine.inverter_sb(in.data(), n, vdd_cc, out.data());
+      engine.inverter_sb(cell0.data(), vdd.data(), in.data(), n, out.data());
     }
     for (std::size_t i = 0; i < n; ++i) curve.emplace_back(in[i], out[i]);
     return curve;

@@ -24,7 +24,7 @@ class HoldVtc {
 
   // Samples the full VTC of the S-driving inverter on `points` equally spaced
   // inputs in [0, vdd_cc]; returns (input, output) pairs — the butterfly-plot
-  // raw data.
+  // raw data. Throws InvalidArgument when points < 2.
   std::vector<std::pair<double, double>> curve_s(double vdd_cc, double temp_c,
                                                  int points = 101) const;
   std::vector<std::pair<double, double>> curve_sb(double vdd_cc, double temp_c,

@@ -147,18 +147,23 @@ struct MosEvalV {
   V id, gm, gds, gms;
 };
 
-// Per-lane device constants as vector operands: the cross-cell DRV batch
-// (cell/batch_vtc drv_hold_cross_batched) marches *different cells* through
-// one lane block, so vth/n/i0/... vary lane to lane instead of being one
-// broadcast scalar. The pmos flag stays a per-call scalar — a lane block
-// always evaluates one device *role* (all pull-ups, or all pull-downs), so
-// polarity is uniform even when the devices themselves differ.
+// Device constants as vector operands. The cell kernel (cell/batch_vtc)
+// either broadcasts one cell's constants or gathers each lane's cell, so
+// vth/n/i0/... may vary lane to lane. The pmos flag stays a per-call scalar:
+// a lane block always evaluates one device *role* (all pull-ups, or all
+// pull-downs), so polarity is uniform even when the devices differ.
 template <class V>
 struct MosfetLaneConstsV {
   V vth, n, two_vt, inv2vt, inv2vt_over_n, i0, lambda;
 };
 
-// Broadcast one device's constants across every lane (the single-cell path).
+// NmosSourceCache as vector operands.
+template <class V>
+struct NmosSourceCacheV {
+  V vp, i_forward, dfs;
+};
+
+// Broadcast one device's constants (or source cache) across every lane.
 template <class V>
 inline MosfetLaneConstsV<V> broadcast_lane_consts(
     const MosfetLaneConsts& c) noexcept {
@@ -168,8 +173,14 @@ inline MosfetLaneConstsV<V> broadcast_lane_consts(
           V::broadcast(c.lambda)};
 }
 
-// Gather per-lane constants for a block: consts[idx[j]] fills lane j of each
-// field, j in [0, V::kWidth).
+template <class V>
+inline NmosSourceCacheV<V> broadcast_lane_consts(
+    const NmosSourceCache& c) noexcept {
+  return {V::broadcast(c.vp), V::broadcast(c.i_forward), V::broadcast(c.dfs)};
+}
+
+// Gather per-lane constants (or source caches) for a block: table[idx[j]]
+// fills lane j of each field, j in [0, V::kWidth).
 template <class V>
 inline MosfetLaneConstsV<V> gather_lane_consts(const MosfetLaneConsts* consts,
                                                const std::size_t* idx) noexcept {
@@ -189,6 +200,20 @@ inline MosfetLaneConstsV<V> gather_lane_consts(const MosfetLaneConsts* consts,
   return {V::load(vth),          V::load(n),  V::load(two_vt),
           V::load(inv2vt),       V::load(inv2vt_over_n),
           V::load(i0),           V::load(lambda)};
+}
+
+template <class V>
+inline NmosSourceCacheV<V> gather_lane_consts(const NmosSourceCache* caches,
+                                              const std::size_t* idx) noexcept {
+  constexpr std::size_t W = V::kWidth;
+  double vp[W], i_forward[W], dfs[W];
+  for (std::size_t j = 0; j < W; ++j) {
+    const NmosSourceCache& c = caches[idx[j]];
+    vp[j] = c.vp;
+    i_forward[j] = c.i_forward;
+    dfs[j] = c.dfs;
+  }
+  return {V::load(vp), V::load(i_forward), V::load(dfs)};
 }
 
 template <class V>
@@ -243,52 +268,37 @@ inline MosEvalV<V> lane_eval_cv(bool pmos, const MosfetLaneConstsV<V>& c, V vg,
   return lane_eval_core_cv(c, vg, vd, vs);
 }
 
-// Drain-swept cached NMOS evaluation over lanes with per-lane constants; the
-// cache fields are vector operands so callers can either broadcast one
-// shared NmosSourceCache or gather per-lane caches.
+// Drain-swept cached NMOS evaluation over lanes: the vector form of
+// lane_eval_nmos_cached.
 template <class V>
 inline MosEvalV<V> lane_eval_nmos_cached_cv(const MosfetLaneConstsV<V>& c,
-                                            V vp, V i_forward, V dfs, V vd,
-                                            V vs) noexcept {
-  const V ud = (vp - vd) / c.two_vt;
+                                            const NmosSourceCacheV<V>& cache,
+                                            V vd, V vs) noexcept {
+  const V ud = (cache.vp - vd) / c.two_vt;
   const simd::SoftplusEvalV<V> sd = simd::softplus_eval_v(ud);
   const V i_reverse = sd.f * sd.f;
 
   const V vds = vd - vs;
   const V clm = V::broadcast(1.0) + c.lambda * simd::smooth_abs_v(vds);
-  const V core = c.i0 * (i_forward - i_reverse);
+  const V core = c.i0 * (cache.i_forward - i_reverse);
   const V dfd = V::broadcast(2.0) * sd.f * sd.d;
   const V sad = simd::smooth_abs_d_v(vds);
 
   MosEvalV<V> e;
   e.id = core * clm;
-  e.gm = c.i0 * (dfs - dfd) * c.inv2vt_over_n * clm;
+  e.gm = c.i0 * (cache.dfs - dfd) * c.inv2vt_over_n * clm;
   e.gds = c.i0 * dfd * c.inv2vt * clm + core * c.lambda * sad;
-  e.gms = V::zero() - c.i0 * dfs * c.inv2vt * clm - core * c.lambda * sad;
+  e.gms =
+      V::zero() - c.i0 * cache.dfs * c.inv2vt * clm - core * c.lambda * sad;
   return e;
 }
 
-// Broadcast-constant wrappers (one device, many operating points): the
-// single-cell inversion kernels call these; lanewise they compute exactly
-// the per-lane-constant trees above with every constant replicated.
-template <class V>
-inline MosEvalV<V> lane_eval_core_v(const MosfetLaneConsts& c, V vg, V vd,
-                                    V vs) noexcept {
-  return lane_eval_core_cv(broadcast_lane_consts<V>(c), vg, vd, vs);
-}
-
+// One device at many operating points (Mosfet::eval_lanes, the transient
+// lanes): lanewise exactly lane_eval_cv with every constant broadcast.
 template <class V>
 inline MosEvalV<V> lane_eval_v(const MosfetLaneConsts& c, V vg, V vd,
                                V vs) noexcept {
   return lane_eval_cv(c.pmos, broadcast_lane_consts<V>(c), vg, vd, vs);
-}
-
-template <class V>
-inline MosEvalV<V> lane_eval_nmos_cached_v(const MosfetLaneConsts& c, V vp,
-                                           V i_forward, V dfs, V vd,
-                                           V vs) noexcept {
-  return lane_eval_nmos_cached_cv(broadcast_lane_consts<V>(c), vp, i_forward,
-                                  dfs, vd, vs);
 }
 
 }  // namespace lpsram

@@ -23,6 +23,8 @@
 #include "lpsram/device/mosfet_lanes.hpp"
 #include "lpsram/runtime/campaign.hpp"
 #include "lpsram/runtime/chaos.hpp"
+#include "lpsram/runtime/parallel.hpp"
+#include "lpsram/stats/yield/counter_rng.hpp"
 #include "lpsram/testflow/case_studies.hpp"
 #include "lpsram/util/error.hpp"
 #include "lpsram/util/rootfind.hpp"
@@ -339,6 +341,22 @@ TEST(BatchVtc, CurvesMatchScalarInversions) {
   }
 }
 
+TEST(BatchVtc, CurvesRejectFewerThanTwoPoints) {
+  // The sample grid spans both rails: one point would divide by zero and a
+  // negative count would wrap to a ~2^64-element request.
+  const CoreCell cell(tech());
+  const HoldVtc vtc(cell);
+  for (const CellKernelKind kernel :
+       {CellKernelKind::Scalar, CellKernelKind::Batched}) {
+    const ScopedCellKernelDefault k(kernel);
+    for (const int points : {1, 0, -1}) {
+      EXPECT_THROW(vtc.curve_s(1.1, 25.0, points), InvalidArgument) << points;
+      EXPECT_THROW(vtc.curve_sb(1.1, 25.0, points), InvalidArgument) << points;
+    }
+    EXPECT_EQ(vtc.curve_s(1.1, 25.0, 2).size(), 2u);
+  }
+}
+
 TEST(BatchVtc, HoldEquilibriumAgreesWithScalar) {
   for (const CaseStudy& cs : table2_case_studies()) {
     const CoreCell cell(tech(), cs.variation);
@@ -414,6 +432,60 @@ TEST(BatchVtc, DrvMatchesScalarWithinOneBisectionBracket) {
   }
   // The fold band is rare: the overwhelming majority must match exactly.
   EXPECT_GE(exact * 10, total * 8) << exact << "/" << total << " exact";
+}
+
+TEST(BatchVtc, KernelDigestPinned) {
+  // One digest over the raw bits of every batched hold-analysis entry
+  // point: hold equilibria at nonzero noise, hold SNM (its warm-started
+  // noise ladder), both VTC curves, single-cell DRV, and the cross-cell DRV
+  // batch over sampled cells at the default and at a starved scan budget
+  // (every eviction re-solved). The vector and scalar backends agree bit
+  // for bit on these paths, so one constant holds on every build.
+  const ScopedCellKernelDefault kernel(CellKernelKind::Batched);
+  std::uint64_t digest = 0x484F4C44ULL;  // "HOLD"
+  const auto fold = [&digest](double v) { digest = fold_key(digest, key_bits(v)); };
+  for (const CaseStudy& cs : table2_case_studies()) {
+    const CoreCell cell(tech(), cs.variation);
+    const StoredBit bit = cs.attacked_bit();
+    const HoldState h = hold_equilibrium_batched(cell, bit, 0.8, 25.0, 0.05);
+    fold(h.v_s);
+    fold(h.v_sb);
+    fold(h.stable ? 1.0 : 0.0);
+    fold(hold_snm_batched(cell, bit, 0.8, 25.0));
+    const HoldVtc vtc(cell);
+    for (const auto& p : vtc.curve_s(0.8, 25.0, 9)) fold(p.second);
+    for (const auto& p : vtc.curve_sb(0.8, 25.0, 9)) fold(p.second);
+    fold(drv_hold_batched(cell, bit, 25.0));
+  }
+
+  // Sampled fields at 1x, 2x and 3x their drawn sigma: nominal cells plus
+  // a tail that fails at low supply.
+  constexpr std::size_t kCells = 24;
+  std::vector<CoreCell> cells;
+  cells.reserve(kCells);
+  std::vector<const CoreCell*> ptrs;
+  for (std::size_t i = 0; i < kCells; ++i) {
+    CellVariation v = sample_cell_variation(0xD16E57ULL, 0, i);
+    const double scale = static_cast<double>(i % 3 + 1);
+    for (const CellTransistor t : kAllCellTransistors)
+      v.set(t, scale * v.get(t));
+    cells.emplace_back(tech(), v);
+    ptrs.push_back(&cells.back());
+  }
+  for (const int budget : {CrossDrvOptions{}.scan_round_budget, 1}) {
+    CrossDrvOptions options;
+    options.scan_round_budget = budget;
+    CrossDrvStats stats;
+    std::vector<DrvResult> out(kCells);
+    drv_ds_cross_batched(ptrs.data(), kCells, 25.0, options, out.data(),
+                         &stats);
+    for (const DrvResult& r : out) {
+      fold(r.drv1);
+      fold(r.drv0);
+    }
+    if (budget == 1) EXPECT_GT(stats.evicted, 0u);
+  }
+  EXPECT_EQ(digest, 0x032327f9235192d2ULL) << std::hex << "0x" << digest;
 }
 
 // ---------- Fig. 4 determinism matrix ----------------------------------------

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <utility>
 #include <vector>
 
 #include "lpsram/cell/batch_vtc.hpp"
@@ -727,12 +728,11 @@ TEST(CrossBatch, AgreesWithSoloKernelOnSampledFields) {
                        cross.data());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const DrvResult solo = drv_ds(cells[i], 25.0);
-    // The cross engine replays the solo per-lane trajectory exactly (same
-    // expression trees, same round schedule, per-lane state only), so the
-    // vector backend owes agreement to within the lane solver's own ulp
-    // contract — measured bit-exact on every shipped backend.
-    EXPECT_NEAR(cross[i].drv1, solo.drv1, 1e-12) << "cell " << i;
-    EXPECT_NEAR(cross[i].drv0, solo.drv0, 1e-12) << "cell " << i;
+    // Cross and solo lanes run on one engine with one expression tree
+    // (gathered vs broadcast constants of equal value) and per-lane state
+    // only, so the native backend owes bit equality, not closeness.
+    EXPECT_EQ(key_bits(cross[i].drv1), key_bits(solo.drv1)) << "cell " << i;
+    EXPECT_EQ(key_bits(cross[i].drv0), key_bits(solo.drv0)) << "cell " << i;
   }
 }
 
@@ -778,6 +778,26 @@ TEST(CrossBatch, StragglerEvictionIsResultNeutral) {
     const DrvResult solo = drv_ds(cells[i], 25.0);
     EXPECT_EQ(key_bits(evicted[i].drv1), key_bits(solo.drv1)) << "cell " << i;
     EXPECT_EQ(key_bits(evicted[i].drv0), key_bits(solo.drv0)) << "cell " << i;
+  }
+}
+
+TEST(CrossBatch, RejectsTheSearchRangesTheSoloKernelRejects) {
+  // A zero lower bound would keep the per-lane log-bisection at vdd = 0
+  // forever; the batch refuses it exactly where drv_hold_batched throws.
+  const CoreCell cell(tech());
+  const CoreCell* ptr = &cell;
+  double drv = 0.0;
+  for (const auto& [lo, hi] : {std::pair{0.0, 1.2}, std::pair{0.5, 0.5},
+                               std::pair{-0.1, 1.2}}) {
+    CrossDrvOptions options;
+    options.drv.vdd_min = lo;
+    options.drv.vdd_max = hi;
+    EXPECT_THROW(drv_hold_batched(cell, StoredBit::One, 25.0, options.drv),
+                 InvalidArgument);
+    EXPECT_THROW(drv_hold_cross_batched(&ptr, 1, StoredBit::One, 25.0,
+                                        options, &drv),
+                 InvalidArgument)
+        << lo << " " << hi;
   }
 }
 
